@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   add_common_flags(cli);
   cli.add_option("out", "BENCH_dist.json", "result JSON path (\"\" = off)");
   cli.add_option("ranks", "4", "rank processes (2..16)");
-  cli.add_option("dist-threads", "1", "TaskPool workers per rank");
   cli.add_option("dist-iters", "40", "iterations per timed batch");
   cli.add_option("dist-reps", "5",
                  "interleaved naive/overlap batches; min batch reported");
@@ -141,7 +140,6 @@ int main(int argc, char** argv) {
 
     dist::DistOptions dopt;
     dopt.ranks = ranks;
-    dopt.threads_per_rank = static_cast<int>(cli.get_int("dist-threads"));
     dist::DistSpmv d(a, dopt);
     const std::vector<DistRankCost> costs = d.rank_costs();
 

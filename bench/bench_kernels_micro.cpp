@@ -2,12 +2,10 @@
 // fixed FEM-like matrix: per-format, per-shape, scalar vs SIMD. These are
 // the per-kernel numbers behind the t_b profile.
 //
-// The exec/ group benches the two Executor backends (docs/tasking.md)
-// head-to-head through SpmvEngine: bulk-synchronous OpenMP vs the
-// work-stealing task graph, on the balanced band matrix (where tasks
-// must stay within a few percent of bulk) and on a skewed R-MAT (where
-// stealing should claw back the straggler time the static partition
-// loses).
+// The exec/ group benches the threaded driver (bulk-synchronous OpenMP
+// over the §V-A nnz-balanced partition) through SpmvEngine, on the
+// balanced band matrix and on a skewed R-MAT whose hub rows are the worst
+// case for a static contiguous partition.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,7 +15,6 @@
 #include "src/core/engine.hpp"
 #include "src/core/executor.hpp"
 #include "src/gen/generators.hpp"
-#include "src/parallel/backend.hpp"
 #include "src/util/prng.hpp"
 
 namespace bspmv {
@@ -60,19 +57,17 @@ const Csr<double>& skewed_matrix() {
   return a;
 }
 
-void run_backend(benchmark::State& state, const Csr<double>& a,
-                 ExecBackend backend) {
+void run_threaded(benchmark::State& state, const Csr<double>& a) {
   // Bench at the machine's real width: oversubscribing (e.g. 2 threads on
-  // a 1-core container) measures context-switch pressure, not backends.
+  // a 1-core container) measures context-switch pressure, not the driver.
   const int threads = static_cast<int>(std::clamp(
       std::thread::hardware_concurrency(), 1u, 8u));
   const Candidate c{FormatKind::kCsr, BlockShape{1, 1}, 0, Impl::kScalar};
-  const auto engine = SpmvEngine<double>::prepare(a, c, threads, backend);
+  const auto engine = SpmvEngine<double>::prepare(a, c, threads);
   aligned_vector<double> x(static_cast<std::size_t>(a.cols()));
   Xoshiro256 rng(5);
   for (auto& e : x) e = rng.uniform() - 0.5;
   aligned_vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
-  engine.warm_up(x.data(), y.data());  // first-touch placement (tasks)
 
   for (auto _ : state) {
     engine.run(x.data(), y.data());
@@ -95,23 +90,20 @@ void register_all() {
         ->Unit(benchmark::kMicrosecond)
         ->MinTime(0.05);
   }
-  for (ExecBackend backend : {ExecBackend::kBulk, ExecBackend::kTasks}) {
-    for (bool skewed : {false, true}) {
-      const std::string name = std::string("exec/") +
-                               (skewed ? "rmat_skewed/" : "band_balanced/") +
-                               backend_name(backend);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [backend, skewed](benchmark::State& s) {
-            run_backend(s, skewed ? skewed_matrix() : shared_matrix(),
-                        backend);
-          })
-          ->Unit(benchmark::kMicrosecond)
-          ->MinTime(0.10)
-          // Wall-clock rates: the task backend runs kernels on pool
-          // threads, so the bench thread's CPU time would inflate GFLOP/s.
-          ->UseRealTime();
-    }
+  for (bool skewed : {false, true}) {
+    const std::string name = std::string("exec/") +
+                             (skewed ? "rmat_skewed" : "band_balanced") +
+                             "/bulk";
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [skewed](benchmark::State& s) {
+          run_threaded(s, skewed ? skewed_matrix() : shared_matrix());
+        })
+        ->Unit(benchmark::kMicrosecond)
+        ->MinTime(0.10)
+        // Wall-clock rates: OpenMP runs kernels on its worker threads too,
+        // so the bench thread's CPU time would misstate GFLOP/s.
+        ->UseRealTime();
   }
 }
 

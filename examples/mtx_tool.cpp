@@ -62,6 +62,18 @@ RunControl* setup_control(const CliParser& cli,
   return &*storage;
 }
 
+/// Reject bad --ranks/--dist-mode/--dist-timeout values up front, before
+/// any profiling or forking (typed invalid_argument_error -> exit 1).
+void check_dist_flags(const CliParser& cli) {
+  const auto ranks = cli.get_int("ranks");
+  if (ranks < 0 || ranks > dist::kMaxRanks)
+    throw invalid_argument_error("--ranks must be 0 or in [1, " +
+                                 std::to_string(dist::kMaxRanks) + "]");
+  (void)parse_dist_mode(cli.get("dist-mode"));
+  if (!(cli.get_double("dist-timeout") > 0.0))
+    throw invalid_argument_error("--dist-timeout must be positive seconds");
+}
+
 /// Load the target matrix for either subcommand: --suite id wins,
 /// otherwise the positional path at `pos_index` is a Matrix Market file.
 bool load_matrix(const CliParser& cli, std::size_t pos_index, Csr<double>& a,
@@ -93,8 +105,6 @@ int run_dist(const CliParser& cli, const Csr<double>& a,
   const int iterations =
       std::max(1, static_cast<int>(cli.get_int("iterations")));
   const double dist_timeout = cli.get_double("dist-timeout");
-  if (dist_timeout <= 0.0)
-    throw invalid_argument_error("--dist-timeout must be positive seconds");
 
   MachineProfile profile = base_profile;
   if (profile.comm_beta_bps <= 0.0) {
@@ -112,7 +122,6 @@ int run_dist(const CliParser& cli, const Csr<double>& a,
   dist::DistOptions dopt;
   dopt.ranks = ranks;
   dopt.mode = mode;
-  dopt.threads_per_rank = static_cast<int>(cli.get_int("dist-threads"));
   dopt.timeout_seconds = dist_timeout;
   // Supervision is ON by default here (the library default stays off):
   // the tool survives a lost rank, degrades if it must, and always says
@@ -298,18 +307,12 @@ int run_report(const CliParser& cli) {
   ropt.measure.check_numerics = cli.get_flag("check-numerics");
   ropt.threads = static_cast<int>(cli.get_int("threads"));
   ropt.verbose = cli.get_flag("verbose");
-  // Invalid names throw invalid_argument_error -> exit code 1.
-  ropt.backend = parse_backend(cli.get("executor"));
   // --ranks N adds the distributed section (both exchange modes measured
   // over one shard plan, per-rank timelines, model-vs-winner scoring).
   ropt.dist_ranks = static_cast<int>(cli.get_int("ranks"));
-  ropt.dist_threads_per_rank = static_cast<int>(cli.get_int("dist-threads"));
   ropt.dist_supervise = !cli.get_flag("dist-no-recover");
   ropt.dist_chaos = static_cast<int>(cli.get_int("dist-chaos"));
   ropt.dist_timeout_seconds = cli.get_double("dist-timeout");
-  if (ropt.dist_timeout_seconds <= 0.0)
-    throw invalid_argument_error("--dist-timeout must be positive seconds");
-  (void)parse_dist_mode(cli.get("dist-mode"));
 
   const observe::RunReport report =
       observe::build_run_report(a, name, profile, ropt);
@@ -359,9 +362,6 @@ int run(int argc, char** argv) {
   cli.add_option("layout", "row",
                  "multi-vector layout with --rhs: row (interleaved) or "
                  "col (vector-contiguous)");
-  cli.add_option("executor", "bulk",
-                 "parallel execution backend: bulk (OpenMP, default) or "
-                 "tasks (NUMA-aware work-stealing task graph)");
   cli.add_option("ranks", "0",
                  "fork this many rank processes and run the row-sharded "
                  "distributed SpMV (docs/distribution.md); report: adds "
@@ -369,8 +369,6 @@ int run(int argc, char** argv) {
   cli.add_option("dist-mode", "overlap",
                  "halo exchange mode with --ranks: overlap (hide comm "
                  "under the local pass) or naive (exchange then compute)");
-  cli.add_option("dist-threads", "1",
-                 "TaskPool workers per rank's local pass (0 = serial)");
   cli.add_option("dist-timeout", "30",
                  "wire read timeout in seconds on every dist channel; a "
                  "--deadline-ms budget additionally bounds each wait");
@@ -395,6 +393,7 @@ int run(int argc, char** argv) {
   cli.add_flag("reorder", "apply the similarity row reordering first");
   cli.add_flag("verbose", "report: progress output on stderr");
   if (!cli.parse(argc, argv)) return 0;
+  check_dist_flags(cli);
 
   if (!cli.positional().empty() && cli.positional().front() == "report")
     return run_report(cli);
@@ -442,10 +441,6 @@ int run(int argc, char** argv) {
   }
   const Layout layout =
       layout_str == "col" ? Layout::kColMajor : Layout::kRowMajor;
-  // Validate eagerly even where only `report` consumes it, so a typo
-  // fails fast with exit code 1 instead of silently running bulk.
-  (void)parse_backend(cli.get("executor"));
-  (void)parse_dist_mode(cli.get("dist-mode"));
   // k-aware selection: with --rhs k > 1 every ranking below optimises
   // one k-wide SpMM multiply instead of a single SpMV (docs/spmm.md).
   const Workload workload{rhs, layout};

@@ -11,7 +11,9 @@
 #   BENCH_spmm.json          bench_spmm at small scale (the per-k
 #                            blocked-vs-CSR crossover table, docs/spmm.md)
 #   BENCH_kernels_micro.json bench_kernels_micro GFLOP/s per kernel plus
-#                            the geomean headline
+#                            the geomean headline, stamped with nproc,
+#                            CPU model, compiler, git sha and
+#                            BSPMV_OBSERVE
 #   BENCH_dist.json          bench_dist at small scale (4-rank overlap vs
 #                            naive halo exchange, docs/distribution.md)
 set -eu
@@ -54,16 +56,47 @@ if [ "$bench" = 1 ]; then
   build/bench/bench_kernels_micro --benchmark_format=json \
     2>/dev/null >/tmp/kernels_micro_raw.json
   python3 - <<'EOF'
-import json, math
+import json, math, os, re, subprocess
+
+def sh(*cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+# Provenance stamp: enough to tell a regression from a machine change.
+cache = open("build/CMakeCache.txt").read()
+def cache_var(name):
+    m = re.search(r"^" + name + r":\w+=(.*)$", cache, re.M)
+    return m.group(1) if m else "unknown"
+cpu = "unknown"
+for line in open("/proc/cpuinfo"):
+    if line.startswith("model name"):
+        cpu = line.split(":", 1)[1].strip()
+        break
+compiler = sh(cache_var("CMAKE_CXX_COMPILER"), "--version").splitlines()
+meta = {
+    "nproc": os.cpu_count(),
+    "cpu_model": cpu,
+    "compiler": compiler[0] if compiler else "unknown",
+    "git_sha": sh("git", "rev-parse", "HEAD"),
+    "bspmv_observe": cache_var("BSPMV_OBSERVE"),
+}
+
 raw = json.load(open("/tmp/kernels_micro_raw.json"))
 rows = []
 for b in raw["benchmarks"]:
     if b.get("run_type") == "aggregate":
         continue
-    rows.append({"name": b["run_name"], "gflops": b["GFLOP/s"] / 1e9})
+    row = {"name": b["run_name"], "gflops": b["GFLOP/s"] / 1e9}
+    if "threads" in b:  # exec/ group: the threaded driver's width
+        row["threads"] = int(b["threads"])
+    rows.append(row)
 geomean = math.exp(sum(math.log(r["gflops"]) for r in rows) / len(rows))
 doc = {
     "bench": "kernels_micro",
+    "meta": meta,
     "kernels": rows,
     "geomean_gflops": round(geomean, 4),
 }

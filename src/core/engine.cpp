@@ -1,25 +1,9 @@
 #include "src/core/engine.hpp"
 
-#include "src/parallel/task_graph.hpp"
+#include "src/parallel/parallel_spmv.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
-
-template <class V>
-void SpmvEngine<V>::Plan::run_async(
-    const V* x, V* y, Impl impl, RunControl* control,
-    std::function<void(std::exception_ptr)> done) const {
-  std::exception_ptr err;
-  try {
-    run(x, y, impl, control);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  done(err);
-}
-
-template <class V>
-void SpmvEngine<V>::Plan::warm_up(V*, V*) const {}
 
 template <class V>
 template <class F>
@@ -37,60 +21,35 @@ struct SpmvEngine<V>::TypedPlan final : SpmvEngine<V>::Plan {
 };
 
 template <class V>
-template <class F>
-struct SpmvEngine<V>::TaskPlan final : SpmvEngine<V>::Plan {
-  TaskPlan(const F& m, int threads) : driver(m, threads) {}
-  void run(const V* x, V* y, Impl impl,
-           RunControl* control) const override {
-    driver.run(x, y, impl, control);
-  }
-  void run_multi(const V* X, V* Y, int k, Layout layout, Impl impl,
-                 RunControl* control) const override {
-    driver.run_multi(X, Y, k, layout, impl, control);
-  }
-  void run_async(const V* x, V* y, Impl impl, RunControl* control,
-                 std::function<void(std::exception_ptr)> done) const override {
-    driver.run_async(x, y, impl, control, std::move(done));
-  }
-  void warm_up(V* x, V* y) const override { driver.warm_up(x, y); }
-  bool async_capable() const override { return true; }
-  TaskGraphSpmv<F> driver;
-};
-
-template <class V>
 SpmvEngine<V> SpmvEngine<V>::prepare(const Csr<V>& a,
                                      const std::vector<Candidate>& ranked,
-                                     int threads, ExecBackend backend) {
+                                     int threads) {
   SpmvEngine e;
   e.owned_ =
       std::make_unique<PreparedExecutor<V>>(try_prepare(a, ranked));
   e.fmt_ = &e.owned_->format;
   e.threads_ = threads;
-  e.backend_ = backend;
   e.build_plan();
   return e;
 }
 
 template <class V>
 SpmvEngine<V> SpmvEngine<V>::prepare(const Csr<V>& a, const Candidate& c,
-                                     int threads, ExecBackend backend) {
+                                     int threads) {
   SpmvEngine e;
   e.owned_ = std::make_unique<PreparedExecutor<V>>();
   e.owned_->format = AnyFormat<V>::convert(a, c);
   e.fmt_ = &e.owned_->format;
   e.threads_ = threads;
-  e.backend_ = backend;
   e.build_plan();
   return e;
 }
 
 template <class V>
-SpmvEngine<V> SpmvEngine<V>::borrow(const AnyFormat<V>& f, int threads,
-                                    ExecBackend backend) {
+SpmvEngine<V> SpmvEngine<V>::borrow(const AnyFormat<V>& f, int threads) {
   SpmvEngine e;
   e.fmt_ = &f;
   e.threads_ = threads;
-  e.backend_ = backend;
   e.build_plan();
   return e;
 }
@@ -118,33 +77,12 @@ void SpmvEngine<V>::set_threads(int threads) {
 }
 
 template <class V>
-void SpmvEngine<V>::set_backend(ExecBackend backend) {
-  if (backend == backend_ && (plan_ || threads_ == 0)) return;
-  const ExecBackend prev = backend_;
-  backend_ = backend;
-  try {
-    build_plan();
-  } catch (...) {
-    backend_ = prev;
-    try {
-      build_plan();
-    } catch (...) {
-      // The previous configuration built once, so rebuilding it cannot
-      // throw; guard anyway so set_backend never terminates.
-    }
-    throw;
-  }
-}
-
-template <class V>
 void SpmvEngine<V>::build_plan() {
   plan_.reset();
   if (threads_ == 0) return;
   plan_ = fmt_->visit([&](const auto& m) -> std::unique_ptr<Plan> {
     using F = std::decay_t<decltype(m)>;
     if constexpr (FormatOps<F>::kParallel) {
-      if (backend_ == ExecBackend::kTasks)
-        return std::make_unique<TaskPlan<F>>(m, threads_);
       return std::make_unique<TypedPlan<F>>(m, threads_);
     } else {
       throw invalid_argument_error(
@@ -207,58 +145,6 @@ void SpmvEngine<V>::run_multi(const V* X, V* Y, int k, Layout layout,
 }
 
 template <class V>
-void SpmvEngine<V>::run_async(
-    const V* x, V* y, RunControl* control,
-    std::function<void(std::exception_ptr)> done) const {
-  BSPMV_CHECK_MSG(static_cast<bool>(done),
-                  "run_async needs a completion callback");
-  if (plan_ == nullptr) {
-    // Plain plan: synchronous, complete inline.
-    std::exception_ptr err;
-    try {
-      run(x, y, control, false);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    done(err);
-    return;
-  }
-  // Surface the control's typed abort error through the callback, the
-  // way the synchronous guarded run() surfaces it by throwing.
-  auto wrapped = [control,
-                  done = std::move(done)](std::exception_ptr err) {
-    if (err == nullptr && control != nullptr) {
-      try {
-        control->throw_if_aborted();
-      } catch (...) {
-        err = std::current_exception();
-      }
-    }
-    done(err);
-  };
-  if (control != nullptr) {
-    try {
-      control->check();
-    } catch (...) {
-      wrapped(std::current_exception());
-      return;
-    }
-  }
-  plan_->run_async(x, y, fmt_->candidate().impl, control,
-                   std::move(wrapped));
-}
-
-template <class V>
-bool SpmvEngine<V>::async_capable() const {
-  return plan_ != nullptr && plan_->async_capable();
-}
-
-template <class V>
-void SpmvEngine<V>::warm_up(V* x, V* y) const {
-  if (plan_) plan_->warm_up(x, y);
-}
-
-template <class V>
 double SpmvEngine<V>::measure(const MeasureOptions& opt) const {
   BSPMV_OBS_SPAN("measure");
   BSPMV_OBS_SPAN(plan_ ? "threaded" : "spmv");
@@ -269,8 +155,7 @@ double SpmvEngine<V>::measure(const MeasureOptions& opt) const {
           plan_->run(x, y, fmt_->candidate().impl, opt.control);
         else
           fmt_->run(x, y);
-      },
-      [&](V* x, V* y) { warm_up(x, y); });
+      });
 }
 
 template <class V>

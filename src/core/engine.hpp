@@ -28,7 +28,6 @@
 // applies the same guards to a single y = A·x for service loops.
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -36,7 +35,6 @@
 
 #include "src/core/executor.hpp"
 #include "src/observe/observe.hpp"
-#include "src/parallel/backend.hpp"
 #include "src/util/numerics.hpp"
 #include "src/util/prng.hpp"
 #include "src/util/run_control.hpp"
@@ -60,17 +58,13 @@ aligned_vector<V> random_measure_vector(std::size_t n, std::uint64_t seed) {
 /// replicates the paper's methodology (warmup, `reps` batches of
 /// `iterations`, minimum per-iteration time reported) with the
 /// RunControl/Watchdog and numeric-guard rails of MeasureOptions.
-template <class V, class RunFn, class WarmFn>
+template <class V, class RunFn>
 double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
-                       RunFn&& run_once, WarmFn&& warm_touch) {
+                       RunFn&& run_once) {
   BSPMV_CHECK(opt.iterations > 0 && opt.reps > 0 && opt.warmup >= 0);
   auto x =
       random_measure_vector<V>(static_cast<std::size_t>(cols), opt.seed);
   aligned_vector<V> y(static_cast<std::size_t>(rows), V{0});
-  // Placement hook: the task backend rewrites x and zero-fills y from
-  // each task's home worker here, so first touch lands the measurement
-  // buffers on the NUMA nodes that will stream them (no-op otherwise).
-  warm_touch(x.data(), y.data());
 
   RunControl* rc = opt.control;
   // The watchdog enforces the deadline/stall budget even while workers
@@ -120,15 +114,6 @@ double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
   return best;
 }
 
-/// measure_guarded without a placement hook — the signature the
-/// fault-injection tests share with production.
-template <class V, class RunFn>
-double measure_guarded(index_t rows, index_t cols, const MeasureOptions& opt,
-                       RunFn&& run_once) {
-  return measure_guarded<V>(rows, cols, opt, std::forward<RunFn>(run_once),
-                            [](V*, V*) {});
-}
-
 }  // namespace detail
 
 template <class V>
@@ -138,36 +123,26 @@ class SpmvEngine {
   /// back to scalar CSR if every candidate fails), then build the plan.
   static SpmvEngine prepare(const Csr<V>& a,
                             const std::vector<Candidate>& ranked,
-                            int threads = 0,
-                            ExecBackend backend = ExecBackend::kBulk);
+                            int threads = 0);
 
   /// Single-candidate prepare; conversion failures throw.
   static SpmvEngine prepare(const Csr<V>& a, const Candidate& c,
-                            int threads = 0,
-                            ExecBackend backend = ExecBackend::kBulk);
+                            int threads = 0);
 
   /// Non-owning engine over an already-materialised format; `f` must
   /// outlive the engine.
-  static SpmvEngine borrow(const AnyFormat<V>& f, int threads = 0,
-                           ExecBackend backend = ExecBackend::kBulk);
+  static SpmvEngine borrow(const AnyFormat<V>& f, int threads = 0);
 
   const AnyFormat<V>& format() const { return *fmt_; }
   /// The prepare audit trail (fallback flag + skipped candidates), or
   /// nullptr for borrow() / single-candidate engines.
   const PreparedExecutor<V>* prepared() const { return owned_.get(); }
   int threads() const { return threads_; }
-  ExecBackend backend() const { return backend_; }
 
   /// Swap to a new thread count, reusing the already-converted format
-  /// (conversion dominates a thread-scaling sweep; Fig. 2). Replans the
-  /// current backend — a task-graph engine re-decomposes for the new
-  /// worker count.
+  /// (conversion dominates a thread-scaling sweep; Fig. 2). On failure
+  /// the engine keeps its previous plan.
   void set_threads(int threads);
-
-  /// Swap execution backend (bulk-synchronous OpenMP vs task graph) on
-  /// the already-converted format. Same strong guarantee as
-  /// set_threads: on failure the engine keeps its previous plan.
-  void set_backend(ExecBackend backend);
 
   /// y = A·x through the current plan.
   void run(const V* x, V* y) const;
@@ -191,26 +166,6 @@ class SpmvEngine {
   void run_multi(const V* X, V* Y, int k, Layout layout,
                  RunControl* control, bool check_numerics = false) const;
 
-  /// Asynchronous y = A·x. On a task-graph plan this returns
-  /// immediately and `done` fires on a pool worker when the last pass
-  /// completes (StarPU-style completion callback); on a bulk or plain
-  /// plan the run executes inline and `done` fires before the call
-  /// returns. `done` receives the first failure (including the
-  /// control's typed abort error) or nullptr; x, y and the control must
-  /// outlive the completion.
-  void run_async(const V* x, V* y, RunControl* control,
-                 std::function<void(std::exception_ptr)> done) const;
-
-  /// True when run_async actually overlaps with the caller (task-graph
-  /// plan); callers that need real overlap can pre-check.
-  bool async_capable() const;
-
-  /// First-touch placement of caller-owned x/y buffers through the
-  /// current plan (no-op for plain and bulk plans, where OpenMP's own
-  /// first touch in run() already decides placement). Either pointer
-  /// may be null.
-  void warm_up(V* x, V* y) const;
-
   /// Seconds per SpMV the way the paper measures it: repeated consecutive
   /// operations on a random input vector, minimum over reps. Honours
   /// opt.control and opt.check_numerics (see MeasureOptions).
@@ -226,31 +181,22 @@ class SpmvEngine {
   SpmvEngine() = default;
   void build_plan();
 
-  /// Type-erased threaded execution plan (one ThreadedSpmv<F> or
-  /// TaskGraphSpmv<F> behind virtuals); absent when threads_ == 0.
+  /// Type-erased threaded execution plan (one ThreadedSpmv<F> behind
+  /// virtuals); absent when threads_ == 0.
   struct Plan {
     virtual ~Plan() = default;
     virtual void run(const V* x, V* y, Impl impl,
                      RunControl* control) const = 0;
     virtual void run_multi(const V* X, V* Y, int k, Layout layout,
                            Impl impl, RunControl* control) const = 0;
-    /// Default: run synchronously, then fire `done` inline.
-    virtual void run_async(const V* x, V* y, Impl impl, RunControl* control,
-                           std::function<void(std::exception_ptr)> done) const;
-    /// Default: no-op (bulk OpenMP places pages in run() itself).
-    virtual void warm_up(V* x, V* y) const;
-    virtual bool async_capable() const { return false; }
   };
   template <class F>
   struct TypedPlan;
-  template <class F>
-  struct TaskPlan;
 
   std::unique_ptr<PreparedExecutor<V>> owned_;  ///< null when borrowing
   const AnyFormat<V>* fmt_ = nullptr;
   std::unique_ptr<Plan> plan_;
   int threads_ = 0;
-  ExecBackend backend_ = ExecBackend::kBulk;
 };
 
 extern template class SpmvEngine<float>;

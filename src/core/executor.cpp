@@ -140,12 +140,11 @@ std::vector<MeasuredCandidate> measure_candidates(
 
 template <class V>
 double measure_threaded_seconds(const Csr<V>& a, const Candidate& c,
-                                int threads, const MeasureOptions& opt,
-                                ExecBackend backend) {
+                                int threads, const MeasureOptions& opt) {
   // threads == 0 means "plain single-threaded path" to the engine; this
   // entry point is explicitly threaded, so keep rejecting it.
   BSPMV_CHECK_MSG(threads >= 1, "thread count must be >= 1");
-  return SpmvEngine<V>::prepare(a, c, threads, backend).measure(opt);
+  return SpmvEngine<V>::prepare(a, c, threads).measure(opt);
 }
 
 template <class V>
@@ -179,8 +178,7 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
   template std::vector<MeasuredCandidate> measure_candidates(               \
       const Csr<V>&, const std::vector<Candidate>&, const MeasureOptions&); \
   template double measure_threaded_seconds(const Csr<V>&, const Candidate&, \
-                                           int, const MeasureOptions&,      \
-                                           ExecBackend);                    \
+                                           int, const MeasureOptions&);     \
   template std::vector<double> measure_threaded_multi(                      \
       const Csr<V>&, const Candidate&, const std::vector<int>&,             \
       const MeasureOptions&);

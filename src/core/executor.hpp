@@ -20,7 +20,6 @@
 
 #include "src/core/candidates.hpp"
 #include "src/formats/registry.hpp"
-#include "src/parallel/backend.hpp"
 #include "src/parallel/parallel_spmv.hpp"
 #include "src/util/timing.hpp"
 
@@ -153,11 +152,10 @@ std::vector<MeasuredCandidate> measure_candidates(
     const MeasureOptions& opt = {});
 
 /// Multithreaded real time (only CSR/BCSR/BCSD and the decomposed
-/// variants, matching §V-A), on either execution backend.
+/// variants, matching §V-A).
 template <class V>
 double measure_threaded_seconds(const Csr<V>& a, const Candidate& c,
-                                int threads, const MeasureOptions& opt = {},
-                                ExecBackend backend = ExecBackend::kBulk);
+                                int threads, const MeasureOptions& opt = {});
 
 /// Measure one candidate at several thread counts, converting the matrix
 /// once (conversion dominates a sweep; Fig. 2 measures 1/2/4 cores).
@@ -179,8 +177,7 @@ std::vector<double> measure_threaded_multi(const Csr<V>& a,
   extern template std::vector<MeasuredCandidate> measure_candidates(       \
       const Csr<V>&, const std::vector<Candidate>&, const MeasureOptions&); \
   extern template double measure_threaded_seconds(                         \
-      const Csr<V>&, const Candidate&, int, const MeasureOptions&,         \
-      ExecBackend);                                                        \
+      const Csr<V>&, const Candidate&, int, const MeasureOptions&);        \
   extern template std::vector<double> measure_threaded_multi(              \
       const Csr<V>&, const Candidate&, const std::vector<int>&,            \
       const MeasureOptions&);

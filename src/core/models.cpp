@@ -4,7 +4,7 @@
 #include <cmath>
 #include <thread>
 
-#include "src/parallel/partition.hpp"
+#include "src/util/errors.hpp"
 #include "src/util/macros.hpp"
 
 namespace bspmv {
@@ -225,67 +225,6 @@ double predict_multicore(ModelKind model, const CandidateCost& cost,
   }
   BSPMV_CHECK_MSG(false, "unknown model");
   return 0.0;
-}
-
-ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
-                                   int threads, int tasks_per_thread,
-                                   double seconds_per_task) {
-  BSPMV_CHECK(threads >= 1 && tasks_per_thread >= 1 &&
-              seconds_per_task >= 0.0);
-  ParallelOverhead po;
-  std::size_t total = 0;
-  for (std::size_t w : weights) total += w;
-  if (total == 0) return po;
-  const double ideal = static_cast<double>(total) / threads;
-
-  // Bulk: the heaviest thread under the same nnz-balanced contiguous
-  // partition ThreadedSpmv plans with.
-  {
-    const auto bounds = balanced_partition(weights, threads);
-    const auto sums = part_weight_sums(weights, bounds);
-    std::size_t heaviest = 0;
-    for (std::size_t s : sums) heaviest = std::max(heaviest, s);
-    po.bulk_imbalance =
-        std::max(0.0, static_cast<double>(heaviest) / ideal - 1.0);
-  }
-
-  // Tasks: over-decompose exactly like TaskGraphSpmv, then apply the
-  // steal-scheduling makespan bound total/P + max_task.
-  {
-    std::size_t target = static_cast<std::size_t>(threads) *
-                         static_cast<std::size_t>(tasks_per_thread);
-    target = std::min(target, weights.size());
-    if (target == 0) target = 1;
-    const auto bounds =
-        balanced_partition(weights, static_cast<int>(target));
-    const auto sums = part_weight_sums(weights, bounds);
-    std::size_t max_task = 0;
-    std::size_t n_tasks = 0;
-    for (std::size_t s : sums) {
-      max_task = std::max(max_task, s);
-      if (s > 0) ++n_tasks;
-    }
-    po.task_imbalance = static_cast<double>(max_task) / ideal;
-    po.steal_overhead_seconds =
-        static_cast<double>(n_tasks) * seconds_per_task;
-  }
-  return po;
-}
-
-double predict_parallel(ModelKind model, const CandidateCost& cost,
-                        const MachineProfile& profile, Precision prec,
-                        int threads, const ParallelOverhead& overhead,
-                        ExecBackend backend) {
-  BSPMV_CHECK(threads >= 1);
-  const double base = predict_multicore(model, cost, profile, prec, threads);
-  // The imbalance fraction applies to one thread's ideal share of the
-  // whole single-core time (memory + compute): the barrier (bulk) or the
-  // final unstolen task (tasks) extends the run by the straggler excess.
-  const double share = predict(model, cost, profile, prec) / threads;
-  if (backend == ExecBackend::kTasks)
-    return base + overhead.task_imbalance * share +
-           overhead.steal_overhead_seconds;
-  return base + overhead.bulk_imbalance * share;
 }
 
 // ----------------------------------------------------------------------

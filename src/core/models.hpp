@@ -18,7 +18,6 @@
 
 #include "src/core/working_set.hpp"
 #include "src/kernels/layout.hpp"
-#include "src/parallel/backend.hpp"
 #include "src/profile/machine_profile.hpp"
 
 namespace bspmv {
@@ -62,43 +61,6 @@ double predict_overlap(const CandidateCost& cost,
 double predict_multicore(ModelKind model, const CandidateCost& cost,
                          const MachineProfile& profile, Precision prec,
                          int threads);
-
-/// Scheduling-overhead inputs of predict_parallel, derived purely from
-/// the §V-A partition weights of one pass (stored values incl. padding
-/// per granule) — no timing required.
-struct ParallelOverhead {
-  /// Static-partition load imbalance of the bulk-synchronous backend:
-  /// heaviest thread share over the ideal share, minus one (0 = perfectly
-  /// balanced; the barrier makes every SpMV pay this fraction).
-  double bulk_imbalance = 0.0;
-  /// Straggler bound of the work-stealing backend: with the matrix
-  /// over-decomposed into threads×tasks_per_thread weight-balanced
-  /// tasks, the classic steal-scheduling makespan bound is
-  /// total/threads + max_task, so the excess fraction is
-  /// max_task/(total/threads). Much smaller than bulk_imbalance on
-  /// skewed matrices, slightly above zero on balanced ones.
-  double task_imbalance = 0.0;
-  /// Per-SpMV scheduling cost of the task backend (batch submission,
-  /// claims and expected steals), linear in the task count.
-  double steal_overhead_seconds = 0.0;
-};
-
-/// Compute the overhead terms for one pass's partition weights.
-/// `seconds_per_task` is the amortised per-task scheduling cost
-/// (submit + claim + deque traffic); the default matches the observed
-/// TaskPool cost on commodity x86.
-ParallelOverhead parallel_overhead(std::span<const std::size_t> weights,
-                                   int threads, int tasks_per_thread = 8,
-                                   double seconds_per_task = 2e-6);
-
-/// Multicore prediction including the execution backend's scheduling
-/// costs: predict_multicore plus the backend's imbalance share of the
-/// per-thread work and, for the task backend, the steal overhead. With a
-/// zero ParallelOverhead this equals predict_multicore.
-double predict_parallel(ModelKind model, const CandidateCost& cost,
-                        const MachineProfile& profile, Precision prec,
-                        int threads, const ParallelOverhead& overhead,
-                        ExecBackend backend);
 
 /// Multi-vector (SpMM) extension of eq. (1)–(3): predicted seconds for
 /// ONE multiply of all k right-hand sides (divide by k for the effective

@@ -66,8 +66,6 @@ const char* dist_outcome_name(DistOutcome o) {
 
 DistSpmv::DistSpmv(const Csr<double>& a, const DistOptions& opt)
     : opt_(opt) {
-  BSPMV_CHECK_MSG(opt_.threads_per_rank >= 0 && opt_.threads_per_rank <= 64,
-                  "threads_per_rank out of range");
   BSPMV_CHECK_MSG(opt_.timeout_seconds > 0.0, "timeout must be positive");
   plan_ = plan_shards(a, opt_.ranks);  // validates the rank count
   limits_.read_timeout_seconds = opt_.timeout_seconds;
@@ -178,7 +176,6 @@ void DistSpmv::ship_shard(const Csr<double>& a, int r) {
   ShardMsg msg;
   msg.rank = static_cast<std::uint32_t>(r);
   msg.ranks = static_cast<std::uint32_t>(opt_.ranks);
-  msg.threads = static_cast<std::uint32_t>(opt_.threads_per_rank);
   msg.row_begin = sh.row_begin;
   msg.row_end = sh.row_end;
   msg.x_begin = sh.x_begin;

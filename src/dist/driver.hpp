@@ -83,10 +83,9 @@ struct SuperviseOptions {
 struct DistOptions {
   int ranks = 2;
   DistMode mode = DistMode::kOverlap;
-  /// TaskPool workers for each rank's local-columns pass (the existing
-  /// task-graph executor, constructed fresh inside the child). 0 runs
-  /// the local pass serially.
-  int threads_per_rank = 1;
+  /// Threads per rank: each rank runs its local-columns pass inline on
+  /// its own thread (src/dist/rank.cpp says why not through OpenMP).
+  static constexpr int threads_per_rank = 1;
   Impl impl = Impl::kScalar;
   /// Wire read timeout on every channel (driver and ranks).
   double timeout_seconds = 30.0;

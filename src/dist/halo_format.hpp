@@ -10,10 +10,10 @@
 // exactly the buffer the halo exchange fills — and runs the local pass
 // first (zero-filling y), then accumulates the halo pass. That is the
 // same two-pass decomposed-format protocol BcsrDec/BcsdDec use, so
-// HaloDec plugs into the generic spmv()/ThreadedSpmv/TaskGraphSpmv
-// drivers through a FormatOps specialisation alone; the distributed
-// rank runtime (src/dist/rank.*) drives the two passes itself so the
-// local pass can run while halo bytes are still in flight.
+// HaloDec plugs into the generic spmv()/ThreadedSpmv drivers through a
+// FormatOps specialisation alone; the distributed rank runtime
+// (src/dist/rank.*) drives the two passes itself so the local pass can
+// run while halo bytes are still in flight.
 //
 // Like the out-of-tree toy format (tests/test_toy_format.cpp), HaloDec
 // never joins AnyFormat's registry, so kKind reuses FormatKind::kCsr.

@@ -28,7 +28,6 @@ std::string ShardMsg::encode() const {
   WireWriter w;
   w.u32(rank);
   w.u32(ranks);
-  w.u32(threads);
   w.u32(static_cast<std::uint32_t>(row_begin));
   w.u32(static_cast<std::uint32_t>(row_end));
   w.u32(static_cast<std::uint32_t>(x_begin));
@@ -51,7 +50,6 @@ ShardMsg ShardMsg::decode(std::string_view payload) {
   ShardMsg m;
   m.rank = r.u32();
   m.ranks = r.u32();
-  m.threads = r.u32();
   m.row_begin = static_cast<index_t>(r.u32());
   m.row_end = static_cast<index_t>(r.u32());
   m.x_begin = static_cast<index_t>(r.u32());

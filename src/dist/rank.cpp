@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -13,7 +12,6 @@
 #include "src/dist/messages.hpp"
 #include "src/dist/shard_plan.hpp"
 #include "src/formats/format_ops.hpp"
-#include "src/parallel/task_graph.hpp"
 #include "src/util/aligned.hpp"
 #include "src/util/errors.hpp"
 #include "src/util/timing.hpp"
@@ -24,21 +22,13 @@ using serve::MsgType;
 
 namespace {
 
-/// One rank's prepared state: the column-split shard plus its local-pass
-/// executor. The TaskPool is constructed fresh in this (forked) process
-/// and passed explicitly — TaskPool::shared would hand back the parent's
-/// registry entry, whose worker threads died at fork.
+/// One rank's prepared state: the column-split shard.
 struct RankState {
   RankShard shard;
   HaloDec<double> mat;
-  std::shared_ptr<TaskPool> pool;
-  std::unique_ptr<TaskGraphSpmv<Csr<double>>> local_graph;
   FaultMsg fault;  ///< armed test fault (kFault); one-shot
 };
 
-/// Fills `st` in place: the TaskGraphSpmv keeps a pointer to the local
-/// submatrix, so the HaloDec must already sit at its final address when
-/// the graph is built (no return-by-value moves after this).
 void prepare(const ShardMsg& msg, RankState& st) {
   st.shard.row_begin = msg.row_begin;
   st.shard.row_end = msg.row_end;
@@ -64,13 +54,6 @@ void prepare(const ShardMsg& msg, RankState& st) {
       static_cast<index_t>(st.shard.halo_cols.size()))
     throw parse_error("dist shard halo segments disagree with the column "
                       "split (plan/matrix mismatch)");
-
-  const int threads = static_cast<int>(msg.threads);
-  if (threads >= 1) {
-    st.pool = std::make_shared<TaskPool>(threads);
-    st.local_graph = std::make_unique<TaskGraphSpmv<Csr<double>>>(
-        st.mat.local(), threads, st.pool);
-  }
 }
 
 DoneMsg handle_run(const RankContext& ctx, RankState& st,
@@ -97,14 +80,15 @@ DoneMsg handle_run(const RankContext& ctx, RankState& st,
   RankStats& s = done.stats;
   s.iterations = run.iterations;
 
+  // The local pass runs inline on this thread, never through the OpenMP
+  // ThreadedSpmv driver: libgomp hangs in a forked child once the parent
+  // process has run a parallel region (`mtx_tool report` times the
+  // threaded kernel before it forks the dist section).
+  // DistSpmv.RanksForkedAfterOpenMPRegion guards this.
   auto local_pass = [&] {
-    if (st.local_graph) {
-      st.local_graph->run(x.data(), y.data(), impl);
-    } else {
-      std::fill(y.begin(), y.end(), 0.0);
-      FormatOps<Csr<double>>::spmv_add(st.mat.local(), x.data(), y.data(),
-                                       impl);
-    }
+    std::fill(y.begin(), y.end(), 0.0);
+    FormatOps<Csr<double>>::spmv_add(st.mat.local(), x.data(), y.data(),
+                                     impl);
   };
 
   Timer total;

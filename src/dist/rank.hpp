@@ -1,13 +1,11 @@
 // The rank runtime: what one forked child process runs.
 //
 // A rank receives its shard once (kShard), builds the local/halo column
-// split (HaloDec) plus a TaskGraphSpmv over the local submatrix, and
-// then serves kDistRun requests: per iteration it posts the halo
-// send/recv (HaloExchange), runs the local-columns pass — on a freshly
-// constructed TaskPool, never the inherited process-wide one: the
-// parent's pool threads do not survive fork — while bytes are in
-// flight (overlap) or after the exchange completes (naive), then
-// accumulates the halo-columns pass once the halo buffer is full.
+// split (HaloDec), and then serves kDistRun requests: per iteration it
+// posts the halo send/recv (HaloExchange), runs the local-columns pass
+// on its own thread while bytes are in flight (overlap) or after the
+// exchange completes (naive), then accumulates the halo-columns pass
+// once the halo buffer is full.
 //
 // rank_main never throws and never returns into the caller's stack
 // frames beyond its own: the forked child must _exit() with its return

@@ -52,7 +52,6 @@ void build_dist_section(const Csr<double>& a, const MachineProfile& profile,
 
   dist::DistOptions dopt;
   dopt.ranks = opt.dist_ranks;
-  dopt.threads_per_rank = opt.dist_threads_per_rank;
   dopt.timeout_seconds = opt.dist_timeout_seconds;
   dopt.supervise.enabled = opt.dist_supervise;
   dist::DistSpmv d(a, dopt);
@@ -61,7 +60,6 @@ void build_dist_section(const Csr<double>& a, const MachineProfile& profile,
   out.enabled = true;
   out.ranks = opt.dist_ranks;
   out.iterations = std::max(1, opt.dist_iterations);
-  out.threads_per_rank = opt.dist_threads_per_rank;
   out.comm_alpha_seconds = p.comm_alpha_seconds;
   out.comm_beta_bps = p.comm_beta_bps;
   out.predicted_mode = dist_mode_name(choose_dist_mode(p, costs));
@@ -257,7 +255,6 @@ Json RunReport::to_json() const {
   dist_o["enabled"] = dist.enabled;
   dist_o["ranks"] = dist.ranks;
   dist_o["iterations"] = dist.iterations;
-  dist_o["threads_per_rank"] = dist.threads_per_rank;
   dist_o["comm_alpha_seconds"] = dist.comm_alpha_seconds;
   dist_o["comm_beta_bps"] = dist.comm_beta_bps;
   dist_o["predicted_mode"] = dist.predicted_mode;
@@ -396,8 +393,6 @@ RunReport RunReport::from_json(const Json& j) {
   r.dist.enabled = dist_j.at("enabled").as_bool();
   r.dist.ranks = static_cast<int>(dist_j.at("ranks").as_number());
   r.dist.iterations = static_cast<int>(dist_j.at("iterations").as_number());
-  r.dist.threads_per_rank =
-      static_cast<int>(dist_j.at("threads_per_rank").as_number());
   r.dist.comm_alpha_seconds = dist_j.at("comm_alpha_seconds").as_number();
   r.dist.comm_beta_bps = dist_j.at("comm_beta_bps").as_number();
   r.dist.predicted_mode = dist_j.at("predicted_mode").as_string();
@@ -645,7 +640,7 @@ RunReport build_run_report(const Csr<V>& a, const std::string& name,
   // per-thread kernel time + assigned weights into the registry.
   try {
     (void)measure_threaded_seconds(a, prep.format.candidate(), r.threads,
-                                   opt.measure, opt.backend);
+                                   opt.measure);
   } catch (const error&) {
     // Chosen format not parallelised (cannot happen for model candidates,
     // which are all §V-A formats; kept as a guard for future sets).

@@ -118,7 +118,6 @@ struct DistReport {
   bool enabled = false;
   int ranks = 0;
   int iterations = 0;
-  int threads_per_rank = 0;
   double comm_alpha_seconds = 0.0;
   double comm_beta_bps = 0.0;
   std::string predicted_mode;  ///< choose_dist_mode over the shard plan
@@ -137,8 +136,9 @@ struct RunReport {
   /// Bump on any change to the JSON layout; validate_report_json and
   /// from_json reject mismatches (same policy as MachineProfile).
   /// v2 added the distributed section ("dist"); v3 its supervision
-  /// fields (supervised/outcome/ranks_final/recovery).
-  static constexpr int kSchemaVersion = 3;
+  /// fields (supervised/outcome/ranks_final/recovery); v4 dropped
+  /// dist.threads_per_rank (every rank runs its local pass on one thread).
+  static constexpr int kSchemaVersion = 4;
   static constexpr const char* kKind = "bspmv_run_report";
 
   // Matrix identity and structure.
@@ -192,20 +192,13 @@ struct ReportOptions {
   int threads = 0;             ///< 0 = omp_get_max_threads()
   bool measure_candidates = true;  ///< measure every candidate (Fig. 3 view)
   bool verbose = false;        ///< progress on stderr
-  /// Execution backend of the multithreaded timing step. With kTasks the
-  /// report's counters carry the scheduler telemetry (task.executed,
-  /// task.stolen, task.steal_attempts, task.steal_ns,
-  /// task.queue_depth_max) and thread_samples come from the
-  /// "tasks/<fmt>" metric instead of "parallel/<fmt>".
-  ExecBackend backend = ExecBackend::kBulk;
   /// Distributed section (double precision only): fork `dist_ranks`
   /// processes, measure both exchange modes over the same shard plan and
   /// score choose_dist_mode against the measured winner. 0/1 skips the
   /// section. Profiles comm α/β on the fly (quick) when the machine
   /// profile carries none.
   int dist_ranks = 0;
-  int dist_iterations = 10;       ///< per measured mode
-  int dist_threads_per_rank = 1;  ///< local-pass TaskPool workers
+  int dist_iterations = 10;  ///< per measured mode
   /// Run the distributed section under rank supervision (recovery +
   /// degradation ladder); outcome and recovery timeline land in the
   /// report's dist section.

@@ -66,10 +66,7 @@ struct Server::Connection {
 };
 
 /// Everything one non-batched spmv needs alive until its reply is sent.
-/// On the task executor the completion callback owns this state, so the
-/// connection, cached engine, control + watchdog and both vectors
-/// survive the request worker returning to the pool.
-struct Server::AsyncSpmv {
+struct Server::SpmvRun {
   std::shared_ptr<const CachedEngine> entry;
   SpmvRequest req;
   SpmvReply rep;
@@ -190,16 +187,6 @@ void Server::stop() {
   queue_->shutdown();
   for (auto& w : workers_)
     if (w.joinable()) w.join();
-
-  // Drain asynchronous spmv completions still running on the shared
-  // task pool: their callbacks touch stats_ and connection state, so
-  // they must retire before teardown continues.
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    conns_cv_.wait(lock, [this] {
-      return async_inflight_.load(std::memory_order_acquire) == 0;
-    });
-  }
 
   // Reader threads are detached; wait for the last one to sign off so
   // the Server members they touch outlive them.
@@ -392,8 +379,8 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     rep.fallback = hit->fallback;
     rep.cached = true;
     rep.prepare_seconds = t.elapsed();
-    send_reply(conn, MsgType::kSubmitOk, rep.encode());
     stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
+    send_reply(conn, MsgType::kSubmitOk, rep.encode());
     return;
   }
 
@@ -425,9 +412,9 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   rep.fallback = entry->fallback;
   rep.cached = false;
   rep.prepare_seconds = t.elapsed();
-  send_reply(conn, MsgType::kSubmitOk, rep.encode());
   stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
   record_success();
+  send_reply(conn, MsgType::kSubmitOk, rep.encode());
 }
 
 std::shared_ptr<const CachedEngine> Server::prepare_and_cache(
@@ -494,7 +481,7 @@ std::shared_ptr<const CachedEngine> Server::prepare_and_cache(
   // candidate fails — rung 2 of the degradation ladder (a conversion
   // that trips the ConversionGuard budget lands here).
   SpmvEngine<double> engine =
-      SpmvEngine<double>::prepare(a, ranked, threads, opt_.executor);
+      SpmvEngine<double>::prepare(a, ranked, threads);
   CachedEngine built{key,
                      std::move(engine),
                      /*format_id=*/"",
@@ -619,57 +606,31 @@ void Server::handle_spmv(const std::shared_ptr<Connection>& conn,
   }
 
   // Per-request deadline budget carved from RunControl: the requested
-  // budget (or the server default), capped by the server maximum. All
-  // run state lives in one shared block so the asynchronous completion
-  // path can outlive this worker.
-  auto st = std::make_shared<AsyncSpmv>();
-  st->entry = std::move(entry);
-  st->req = std::move(req);
-  st->t = t;
-  double budget = st->req.deadline_seconds > 0
-                      ? st->req.deadline_seconds
+  // budget (or the server default), capped by the server maximum.
+  SpmvRun st;
+  st.entry = std::move(entry);
+  st.req = std::move(req);
+  st.t = t;
+  double budget = st.req.deadline_seconds > 0
+                      ? st.req.deadline_seconds
                       : opt_.default_deadline_seconds;
   if (budget > 0) {
     budget = std::min(budget, opt_.max_deadline_seconds);
-    st->control.set_deadline(budget);
+    st.control.set_deadline(budget);
   }
-  st->control.set_stall_timeout(opt_.stall_timeout_seconds);
-  st->control.set_watchdog_poll(opt_.watchdog_poll_seconds);
-  st->watchdog.emplace(st->control);
-  st->rep.y.resize(static_cast<std::size_t>(st->entry->key.rows));
+  st.control.set_stall_timeout(opt_.stall_timeout_seconds);
+  st.control.set_watchdog_poll(opt_.watchdog_poll_seconds);
+  st.watchdog.emplace(st.control);
+  st.rep.y.resize(static_cast<std::size_t>(st.entry->key.rows));
 
-  // Input scan happens before submission either way (the output scan is
-  // finish_spmv's job, after the run completed).
-  if (st->req.check_numerics)
-    check_finite("run: input vector x", st->req.x.data(), st->req.x.size());
+  // Scan the input here; finish_spmv scans the output after the run.
+  if (st.req.check_numerics)
+    check_finite("run: input vector x", st.req.x.data(), st.req.x.size());
 
-  if (st->entry->engine.async_capable()) {
-    // Task-graph plan: submit the graph and return this worker to the
-    // pool immediately; the reply is sent from the completion callback
-    // on a task-pool worker (StarPU-style asynchronous execution).
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    BSPMV_OBS_COUNT("serve.async_submitted", 1);
-    auto self = this;
-    auto conn_ref = conn;
-    st->entry->engine.run_async(
-        st->req.x.data(), st->rep.y.data(), &st->control,
-        [self, conn_ref, st](std::exception_ptr err) {
-          self->finish_spmv(conn_ref, st, err);
-          {
-            std::lock_guard<std::mutex> lock(self->conns_mu_);
-            self->async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          self->conns_cv_.notify_all();
-        });
-    return;
-  }
-
-  // Bulk/plain plan: synchronous run on this worker, completed through
-  // the same finish path as the asynchronous case.
   std::exception_ptr err;
   try {
-    st->entry->engine.run(st->req.x.data(), st->rep.y.data(), &st->control,
-                          false);
+    st.entry->engine.run(st.req.x.data(), st.rep.y.data(), &st.control,
+                         false);
   } catch (...) {
     err = std::current_exception();
   }
@@ -677,24 +638,25 @@ void Server::handle_spmv(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::finish_spmv(const std::shared_ptr<Connection>& conn,
-                         const std::shared_ptr<AsyncSpmv>& st,
-                         std::exception_ptr err) {
+                         SpmvRun& st, std::exception_ptr err) {
   try {
     if (err) std::rethrow_exception(err);
-    st->watchdog.reset();  // retire the deadline thread before replying
-    if (st->req.check_numerics)
-      check_finite("run: output vector y", st->rep.y.data(),
-                   st->rep.y.size());
-    st->rep.server_seconds = st->t.elapsed();
-    st->rep.degraded = st->entry->degraded || degrade_level() > 0;
-    if (st->rep.degraded)
+    st.watchdog.reset();  // retire the deadline thread before replying
+    if (st.req.check_numerics)
+      check_finite("run: output vector y", st.rep.y.data(),
+                   st.rep.y.size());
+    st.rep.server_seconds = st.t.elapsed();
+    st.rep.degraded = st.entry->degraded || degrade_level() > 0;
+    if (st.rep.degraded)
       stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-    send_reply(conn, MsgType::kSpmvOk, st->rep.encode());
+    // Count before replying: a client that holds the reply must see it
+    // in the stats snapshot.
     stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
     record_success();
+    send_reply(conn, MsgType::kSpmvOk, st.rep.encode());
     return;
   } catch (const timeout_error& e) {
-    if (st->control.reason() == AbortReason::kStalled) {
+    if (st.control.reason() == AbortReason::kStalled) {
       stats_->stalls.fetch_add(1, std::memory_order_relaxed);
       record_stall();
     }
@@ -829,9 +791,9 @@ void Server::spmv_batched(const std::shared_ptr<Connection>& conn,
         reps[j].degraded = degraded;
         if (degraded)
           stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
-        send_reply(take[j].conn, MsgType::kSpmvOk, reps[j].encode());
         stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
         record_success();
+        send_reply(take[j].conn, MsgType::kSpmvOk, reps[j].encode());
       }
     } catch (const timeout_error& e) {
       if (control.reason() == AbortReason::kStalled) {
@@ -952,9 +914,6 @@ Json Server::stats_json() const {
   o["queue_depth"] = static_cast<std::uint64_t>(queue_->size());
   o["queue_capacity"] = static_cast<std::uint64_t>(queue_->capacity());
   o["shed"] = queue_->shed_count();
-  o["executor"] = backend_name(opt_.executor);
-  o["async_inflight"] = static_cast<std::uint64_t>(
-      std::max(0, async_inflight_.load(std::memory_order_relaxed)));
   o["degrade_level"] = degrade_level();
   o["connections"] = stats_->connections.load();
   o["workers"] = opt_.workers;

@@ -45,7 +45,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/parallel/backend.hpp"
 #include "src/serve/admission.hpp"
 #include "src/serve/engine_cache.hpp"
 #include "src/serve/protocol.hpp"
@@ -62,14 +61,6 @@ struct ServerOptions {
   int workers = 2;                  ///< request-executing threads
   int engine_threads = 0;  ///< per-engine thread plan (0 = single-threaded)
   bool simd = true;        ///< allow simd candidates in selection
-
-  /// Execution backend of every threaded engine this server prepares.
-  /// kTasks shares one process-wide TaskPool of engine_threads workers
-  /// across all cached engines (concurrent requests interleave their
-  /// tasks on it), and non-batched spmv requests complete asynchronously:
-  /// the request worker submits the task graph and returns to the pool,
-  /// with the reply sent from a completion callback.
-  ExecBackend executor = ExecBackend::kBulk;
 
   /// Measured selection on prepare: convert each parallel-safe candidate
   /// and time `prepare_iterations` SpMVs, keeping the fastest — the
@@ -137,7 +128,7 @@ class Server {
   struct Connection;
   struct ServerStats;
   struct SpmmBatch;
-  struct AsyncSpmv;
+  struct SpmvRun;
 
   void accept_loop();
   void worker_loop();
@@ -166,11 +157,9 @@ class Server {
                     SpmvRequest&& req,
                     std::shared_ptr<const CachedEngine> entry, Timer t);
 
-  /// Completion of one non-batched spmv: reply or typed error, counters,
-  /// degradation bookkeeping. Runs on the request worker for synchronous
-  /// plans and on a task-pool worker for asynchronous (task-graph) ones.
-  void finish_spmv(const std::shared_ptr<Connection>& conn,
-                   const std::shared_ptr<AsyncSpmv>& st,
+  /// Completion of one non-batched spmv on the request worker: reply or
+  /// typed error, counters, degradation bookkeeping.
+  void finish_spmv(const std::shared_ptr<Connection>& conn, SpmvRun& st,
                    std::exception_ptr err);
 
   /// Requeue a busy request with exponential backoff; replies overloaded
@@ -226,11 +215,6 @@ class Server {
   std::unordered_map<std::uint64_t, std::shared_ptr<SpmmBatch>> batches_;
 
   std::atomic<int> stall_strikes_{0};
-
-  /// Async spmv completions still owed to clients (task executor only);
-  /// stop() drains this before tearing down, since the callbacks touch
-  /// stats_ and connections.
-  std::atomic<int> async_inflight_{0};
 
   std::unique_ptr<ServerStats> stats_;
 };

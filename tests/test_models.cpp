@@ -167,79 +167,6 @@ TEST(Selector, PicksBlockedFormatOnPerfectlyBlockyMatrix) {
   EXPECT_GT(best.predicted_seconds, 0.0);
 }
 
-// ------------------------------------------- executor-aware extension ----
-
-TEST(Models, ParallelOverheadUniformWeights) {
-  // 64 uniform granules, 4 threads: the bulk partition is perfect
-  // (imbalance 0); the task backend over-decomposes into 4×8 = 32 tasks
-  // of 2 granules each, so the straggler bound max_task/(total/P) is
-  // exactly 1/tasks_per_thread, and the scheduling fee is one
-  // seconds_per_task per non-empty task.
-  const std::vector<std::size_t> w(64, 10);
-  const auto o = parallel_overhead(w, 4, 8, 2e-6);
-  EXPECT_NEAR(o.bulk_imbalance, 0.0, 1e-9);
-  EXPECT_NEAR(o.task_imbalance, 1.0 / 8.0, 1e-9);
-  EXPECT_NEAR(o.steal_overhead_seconds, 32 * 2e-6, 1e-12);
-}
-
-TEST(Models, ParallelOverheadSkewedWeights) {
-  // One granule carries most of the weight: both terms are dominated by
-  // it. The bulk term is (heaviest part)/ideal - 1; the task term is the
-  // raw straggler bound max_task/ideal, which can never drop below the
-  // heavy granule's share (a granule cannot be split).
-  std::vector<std::size_t> w(63, 1);
-  w.push_back(400);
-  const double ideal = 463.0 / 4.0;
-  const auto o = parallel_overhead(w, 4);
-  EXPECT_GT(o.bulk_imbalance, 0.0);
-  EXPECT_GE(o.task_imbalance, 400.0 / ideal - 1e-12);
-  EXPECT_GT(o.steal_overhead_seconds, 0.0);
-}
-
-TEST(Models, ParallelOverheadSingleGranule) {
-  // One granule IS the whole matrix: the bulk backend wastes P-1 shares
-  // (heaviest/ideal - 1 = 3) and the task straggler bound is the whole
-  // runtime (max_task/ideal = P = 4).
-  const std::vector<std::size_t> w = {1000};
-  const auto o = parallel_overhead(w, 4);
-  EXPECT_NEAR(o.bulk_imbalance, 3.0, 1e-9);
-  EXPECT_NEAR(o.task_imbalance, 4.0, 1e-9);
-}
-
-TEST(Models, ParallelOverheadEmptyWeightsIsZero) {
-  const std::vector<std::size_t> w;
-  const auto o = parallel_overhead(w, 4);
-  EXPECT_EQ(o.bulk_imbalance, 0.0);
-  EXPECT_EQ(o.task_imbalance, 0.0);
-  EXPECT_EQ(o.steal_overhead_seconds, 0.0);
-}
-
-TEST(Models, PredictParallelAddsBackendTerms) {
-  const MachineProfile p = synthetic_profile(1e9, 2e-9, 0.25);
-  const CandidateCost cost = hand_cost();
-  ParallelOverhead o;
-  o.bulk_imbalance = 0.5;
-  o.task_imbalance = 0.1;
-  o.steal_overhead_seconds = 3e-6;
-  const double base =
-      predict_multicore(ModelKind::kOverlap, cost, p, Precision::kDouble, 4);
-  const double share =
-      predict(ModelKind::kOverlap, cost, p, Precision::kDouble) / 4;
-  EXPECT_DOUBLE_EQ(predict_parallel(ModelKind::kOverlap, cost, p,
-                                    Precision::kDouble, 4, o,
-                                    ExecBackend::kBulk),
-                   base + 0.5 * share);
-  EXPECT_DOUBLE_EQ(predict_parallel(ModelKind::kOverlap, cost, p,
-                                    Precision::kDouble, 4, o,
-                                    ExecBackend::kTasks),
-                   base + 0.1 * share + 3e-6);
-  // With the skew modelled above, the task backend predicts faster.
-  EXPECT_LT(predict_parallel(ModelKind::kOverlap, cost, p, Precision::kDouble,
-                             4, o, ExecBackend::kTasks),
-            predict_parallel(ModelKind::kOverlap, cost, p, Precision::kDouble,
-                             4, o, ExecBackend::kBulk));
-}
-
 // ------------------------------------------------ k-aware selection ----
 
 TEST(Selector, WorkloadDefaultMatchesPlainRanking) {

@@ -12,7 +12,6 @@
 #include "src/kernels/spmv.hpp"
 #include "src/parallel/parallel_spmv.hpp"
 #include "src/parallel/partition.hpp"
-#include "src/parallel/task_graph.hpp"
 #include "src/util/errors.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -124,16 +123,17 @@ TEST(PartitionEdges, PartWeightSumsMatchesManualSum) {
   EXPECT_EQ(sums[3], 6u);
 }
 
-// --------------------------- degenerate decompositions, both backends ----
+// ------------------- degenerate decompositions, threaded driver ----
 //
 // The same pathological shapes the partitioner tests cover above, pushed
-// through a full SpMV on the bulk-synchronous (ThreadedSpmv) and
-// task-graph (TaskGraphSpmv) backends: both must produce the serial
-// result bitwise no matter how empty or skewed the task decomposition is.
+// through a full SpMV on the bulk-synchronous ThreadedSpmv driver: it
+// must produce the serial result bitwise no matter how empty or skewed
+// the partition is.
 
-/// Serial reference, then both backends at `threads`, bitwise compare.
-void expect_both_backends_match_serial(const Csr<double>& a, int threads,
-                                       const std::string& context) {
+/// Serial reference, then the threaded driver at `threads`, bitwise
+/// compare.
+void expect_threaded_matches_serial(const Csr<double>& a, int threads,
+                                    const std::string& context) {
   const auto x =
       bspmv::testing::random_x<double>(a.cols(), 97);
   const std::size_t n = static_cast<std::size_t>(a.rows());
@@ -142,56 +142,39 @@ void expect_both_backends_match_serial(const Csr<double>& a, int threads,
 
   aligned_vector<double> yb(n, -1.0);
   ThreadedSpmv<Csr<double>>(a, threads).run(x.data(), yb.data());
-  aligned_vector<double> yt(n, -1.0);
-  TaskGraphSpmv<Csr<double>>(a, threads).run(x.data(), yt.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(yb[i], ys[i]) << context << " bulk row " << i;
-    ASSERT_EQ(yt[i], ys[i]) << context << " tasks row " << i;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(yb[i], ys[i]) << context << " row " << i;
 }
 
-TEST(PartitionEdges, EmptyPartitionsThroughBothBackends) {
-  // 5 rows, most of them empty, 8 threads: nearly every part/task slice
-  // is empty and both runners must treat them as no-ops.
+TEST(PartitionEdges, EmptyPartitionsThroughThreadedDriver) {
+  // 5 rows, most of them empty, 8 threads: nearly every part is empty
+  // and the driver must treat them as no-ops.
   Coo<double> coo(5, 6);
   coo.add(2, 1, 3.0);
   coo.add(2, 5, -1.0);
   const Csr<double> a = Csr<double>::from_coo(coo);
-  expect_both_backends_match_serial(a, 8, "mostly-empty 8 threads");
+  expect_threaded_matches_serial(a, 8, "mostly-empty 8 threads");
 }
 
-TEST(PartitionEdges, SingleUltraHeavyRowThroughBothBackends) {
+TEST(PartitionEdges, SingleUltraHeavyRowThroughThreadedDriver) {
   // One row carries ~all the weight: it cannot be split (a row is the
-  // granule), so one part/task dominates and the rest idle or steal.
+  // granule), so one part dominates and the rest idle.
   Coo<double> coo(40, 200);
   for (index_t j = 0; j < 200; ++j) coo.add(7, j, 1.0 + j);
   for (index_t i = 0; i < 40; i += 5) coo.add(i, i, 2.0);
   const Csr<double> a = Csr<double>::from_coo(coo);
   for (int threads : {2, 4, 7})
-    expect_both_backends_match_serial(
+    expect_threaded_matches_serial(
         a, threads, "heavy row, " + std::to_string(threads) + " threads");
 }
 
-TEST(PartitionEdges, MoreThreadsThanRowsThroughBothBackends) {
+TEST(PartitionEdges, MoreThreadsThanRowsThroughThreadedDriver) {
   Coo<double> coo(3, 10);
   coo.add(0, 0, 1.0);
   coo.add(1, 9, 2.0);
   coo.add(2, 4, 3.0);
   const Csr<double> a = Csr<double>::from_coo(coo);
-  expect_both_backends_match_serial(a, 16, "3 rows 16 threads");
-}
-
-TEST(PartitionEdges, TaskDecompositionSkipsEmptySlices) {
-  // The task backend over-decomposes into threads*8 slices; on a 5-row
-  // matrix almost all are empty and must be dropped at build time, not
-  // submitted as zero-width tasks.
-  Coo<double> coo(5, 5);
-  coo.add(0, 0, 1.0);
-  coo.add(4, 4, 1.0);
-  const Csr<double> a = Csr<double>::from_coo(coo);
-  const TaskGraphSpmv<Csr<double>> d(a, 4);
-  EXPECT_LE(d.task_count(0), 5u);  // never more tasks than granules
-  EXPECT_GE(d.task_count(0), 1u);
+  expect_threaded_matches_serial(a, 16, "3 rows 16 threads");
 }
 
 // ------------------------------- rank-level (shard plan) degenerates ----

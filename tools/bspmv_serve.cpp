@@ -35,10 +35,6 @@ int main(int argc, char** argv) {
   cli.add_option("workers", "2", "request worker threads");
   cli.add_option("engine-threads", "0",
                  "threads per engine plan (0 = single-threaded kernels)");
-  cli.add_option("executor", "bulk",
-                 "threaded-engine backend: bulk (OpenMP, default) or tasks "
-                 "(work-stealing task graph; non-batched requests complete "
-                 "asynchronously)");
   cli.add_option("spool-dir", "",
                  "persist submitted matrices here for crash recovery"
                  " (empty = off)");
@@ -68,8 +64,6 @@ int main(int argc, char** argv) {
     opt.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
     opt.workers = static_cast<int>(cli.get_int("workers"));
     opt.engine_threads = static_cast<int>(cli.get_int("engine-threads"));
-    // Typo -> invalid_argument_error -> exit 1, before any socket work.
-    opt.executor = parse_backend(cli.get("executor"));
     opt.spool_dir = cli.get("spool-dir");
     opt.default_deadline_seconds = cli.get_double("default-deadline");
     opt.max_deadline_seconds = cli.get_double("max-deadline");
