@@ -78,7 +78,9 @@ void run_threaded(benchmark::State& state, const Csr<double>& a) {
       2.0 * static_cast<double>(a.nnz()) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
-  state.counters["threads"] = static_cast<double>(threads);
+  // Not "threads": Google Benchmark's JSON already has a key of that name
+  // (the number of benchmark threads, always 1 here).
+  state.counters["exec_threads"] = static_cast<double>(threads);
 }
 
 void register_all() {

@@ -90,8 +90,8 @@ for b in raw["benchmarks"]:
     if b.get("run_type") == "aggregate":
         continue
     row = {"name": b["run_name"], "gflops": b["GFLOP/s"] / 1e9}
-    if "threads" in b:  # exec/ group: the threaded driver's width
-        row["threads"] = int(b["threads"])
+    if "exec_threads" in b:  # exec/ group: the threaded driver's width
+        row["threads"] = int(b["exec_threads"])
     rows.append(row)
 geomean = math.exp(sum(math.log(r["gflops"]) for r in rows) / len(rows))
 doc = {
